@@ -33,7 +33,7 @@ pub mod weights;
 
 pub use certificate::{Certificate, CertificateError};
 pub use engine::{AblationFlags, BaStar, ConsensusKind, Decision, Output};
-pub use msg::{StepKind, Value, VoteMessage};
+pub use msg::{StepKind, Value, VoteFields, VoteMessage};
 pub use params::{BaParams, Micros, SECOND};
 pub use verify::{
     verify_vote_message, CachedVerifier, RealVerifier, VerifiedVote, VoteContext, VoteVerifier,

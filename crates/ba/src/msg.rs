@@ -10,6 +10,9 @@ use algorand_crypto::codec::{DecodeError, Reader, WriteExt};
 use algorand_crypto::sig::{self, Signature};
 use algorand_crypto::vrf::{VrfOutput, VrfProof, VRF_PROOF_LEN};
 use algorand_crypto::{sha256_concat, Keypair, PublicKey};
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, OnceLock};
 
 /// A 32-byte block-hash value voted on by BA⋆.
 pub type Value = [u8; 32];
@@ -61,9 +64,9 @@ impl StepKind {
     }
 }
 
-/// A signed committee vote (the message gossiped by Algorithm 4).
+/// The fields of a signed committee vote.
 #[derive(Clone, Debug)]
-pub struct VoteMessage {
+pub struct VoteFields {
     /// The voter's public key.
     pub sender: PublicKey,
     /// The Algorand round this vote belongs to.
@@ -80,6 +83,54 @@ pub struct VoteMessage {
     pub value: Value,
     /// Signature over the digest of all fields above.
     pub sig: Signature,
+}
+
+/// A signed committee vote (the message gossiped by Algorithm 4).
+///
+/// A shared immutable value: clones are reference-count bumps over one
+/// allocation, and [`VoteMessage::message_id`] is hashed at most once per
+/// distinct message and cached beside the fields. Fields are read through
+/// `Deref`. Writing one through `DerefMut` copies the fields first if
+/// they are shared and drops the cached id, so the id always hashes the
+/// current bytes.
+#[derive(Clone)]
+pub struct VoteMessage(Arc<SharedVote>);
+
+#[derive(Clone)]
+struct SharedVote {
+    fields: VoteFields,
+    id: OnceLock<[u8; 32]>,
+}
+
+impl From<VoteFields> for VoteMessage {
+    fn from(fields: VoteFields) -> VoteMessage {
+        VoteMessage(Arc::new(SharedVote {
+            fields,
+            id: OnceLock::new(),
+        }))
+    }
+}
+
+impl Deref for VoteMessage {
+    type Target = VoteFields;
+
+    fn deref(&self) -> &VoteFields {
+        &self.0.fields
+    }
+}
+
+impl DerefMut for VoteMessage {
+    fn deref_mut(&mut self) -> &mut VoteFields {
+        let shared = Arc::make_mut(&mut self.0);
+        shared.id.take();
+        &mut shared.fields
+    }
+}
+
+impl fmt::Debug for VoteMessage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fields.fmt(f)
+    }
 }
 
 impl VoteMessage {
@@ -116,7 +167,7 @@ impl VoteMessage {
     ) -> VoteMessage {
         let digest = Self::signing_digest(round, step, &sorthash, &sort_proof, &prev_hash, &value);
         let sig = sig::sign(keypair, &digest);
-        VoteMessage {
+        VoteMessage::from(VoteFields {
             sender: keypair.pk,
             round,
             step,
@@ -125,7 +176,7 @@ impl VoteMessage {
             prev_hash,
             value,
             sig,
-        }
+        })
     }
 
     /// Verifies only the signature (not sortition membership).
@@ -142,18 +193,20 @@ impl VoteMessage {
     }
 
     /// A content hash identifying this message (used for dedup and for the
-    /// shared verification cache).
+    /// shared verification cache). Hashed on first use, then cached.
     pub fn message_id(&self) -> [u8; 32] {
-        sha256_concat(&[
-            self.sender.as_bytes(),
-            &self.round.to_le_bytes(),
-            &self.step.code().to_le_bytes(),
-            &self.sorthash.0,
-            &self.sort_proof.to_bytes(),
-            &self.prev_hash,
-            &self.value,
-            &self.sig.to_bytes(),
-        ])
+        *self.0.id.get_or_init(|| {
+            sha256_concat(&[
+                self.sender.as_bytes(),
+                &self.round.to_le_bytes(),
+                &self.step.code().to_le_bytes(),
+                &self.sorthash.0,
+                &self.sort_proof.to_bytes(),
+                &self.prev_hash,
+                &self.value,
+                &self.sig.to_bytes(),
+            ])
+        })
     }
 
     /// Serialized size in bytes, for bandwidth accounting in the simulator.
@@ -207,7 +260,7 @@ impl VoteMessage {
         let mut sig_bytes = [0u8; 64];
         sig_bytes.copy_from_slice(r.bytes(64)?);
         let sig = Signature::from_bytes(&sig_bytes).map_err(|_| DecodeError::Invalid)?;
-        Ok(VoteMessage {
+        Ok(VoteMessage::from(VoteFields {
             sender,
             round,
             step,
@@ -216,7 +269,7 @@ impl VoteMessage {
             prev_hash,
             value,
             sig,
-        })
+        }))
     }
 }
 
@@ -284,7 +337,6 @@ mod tests {
 
     #[test]
     fn wire_roundtrip() {
-        use algorand_crypto::codec::Reader;
         for step in [StepKind::Final, StepKind::ReductionOne, StepKind::Main(7)] {
             let vote = sample_vote(5, 42, step);
             let bytes = vote.encoded();
@@ -299,7 +351,6 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation_and_garbage() {
-        use algorand_crypto::codec::Reader;
         let vote = sample_vote(6, 1, StepKind::Main(1));
         let bytes = vote.encoded();
         for cut in [0usize, 10, 100, 299] {
@@ -313,6 +364,60 @@ mod tests {
         if let Ok(v) = VoteMessage::decode(&mut r) {
             assert!(!v.signature_valid());
         }
+    }
+
+    /// The cached id, if one has been hashed.
+    fn cached_id(v: &VoteMessage) -> Option<[u8; 32]> {
+        v.0.id.get().copied()
+    }
+
+    /// The id of a fresh, unshared message with `v`'s current fields.
+    fn rehashed(v: &VoteMessage) -> [u8; 32] {
+        VoteMessage::from(VoteFields::clone(v)).message_id()
+    }
+
+    #[test]
+    fn clones_share_storage_and_hash_the_id_once() {
+        let a = sample_vote(8, 3, StepKind::ReductionOne);
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert_eq!(cached_id(&b), None);
+        let id = a.message_id();
+        // Hashed through one handle, cached for every clone.
+        assert_eq!(cached_id(&b), Some(id));
+        assert_eq!(b.message_id(), id);
+        assert!(Arc::ptr_eq(&a.0, &b.clone().0));
+    }
+
+    #[test]
+    fn mutating_after_message_id_rehashes_the_new_bytes() {
+        let original = sample_vote(9, 4, StepKind::Main(3));
+        let old_id = original.message_id();
+        let mut changed = original.clone();
+        changed.value[0] ^= 1;
+        // Copy-on-write: the original and its id are untouched.
+        assert!(!Arc::ptr_eq(&original.0, &changed.0));
+        assert_eq!(original.message_id(), old_id);
+        assert_eq!(cached_id(&changed), None);
+        assert_ne!(changed.message_id(), old_id);
+        assert_eq!(changed.message_id(), rehashed(&changed));
+        // A sole owner mutates in place and still drops the stale id.
+        let mut sole = sample_vote(9, 4, StepKind::Main(3));
+        sole.message_id();
+        sole.round += 1;
+        assert_eq!(cached_id(&sole), None);
+        assert_eq!(sole.message_id(), rehashed(&sole));
+    }
+
+    #[test]
+    fn sign_encode_decode_keeps_the_id() {
+        let vote = sample_vote(10, 6, StepKind::Final);
+        let id = vote.message_id();
+        let bytes = vote.encoded();
+        let back = VoteMessage::decode(&mut Reader::new(&bytes)).unwrap();
+        assert!(!Arc::ptr_eq(&vote.0, &back.0));
+        assert_eq!(back.message_id(), id);
+        assert_eq!(back.encoded(), bytes);
     }
 
     #[test]

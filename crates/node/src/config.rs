@@ -29,7 +29,7 @@ use algorand_crypto::rng::Rng;
 use algorand_crypto::Keypair;
 use algorand_ledger::{Blockchain, Transaction};
 use algorand_obs::MonitorConfig;
-use algorand_sortition::binomial::binomial_cdf;
+use algorand_sortition::committee::committee_upper_bound;
 use std::io;
 use std::path::PathBuf;
 
@@ -305,20 +305,6 @@ impl NodeConfig {
         let keypairs = derive_keypairs(self.seed, self.n_users);
         workload_transactions(self.seed, &keypairs, self.stake_per_user, self.tx_count)
     }
-}
-
-/// Smallest `k` whose binomial upper tail `P[Binomial(W, τ/W) > k]`
-/// falls below ~1e-12 — the §7.5 bound the monitor enforces on the
-/// deduplicated committee weight of any (round, step). Mirrors
-/// `sim::harness::committee_upper_bound` exactly.
-fn committee_upper_bound(total_weight: u64, tau: f64) -> u64 {
-    let w = total_weight.max(1);
-    let p = (tau / w as f64).min(1.0);
-    let mut k = (tau as u64).min(w);
-    while k < w && 1.0 - binomial_cdf(k, w, p) >= 1e-12 {
-        k += 1;
-    }
-    k
 }
 
 /// Derives the deployment's keypairs — the same formula `sim::runner`

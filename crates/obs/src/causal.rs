@@ -27,7 +27,7 @@
 //! final-count step span.
 
 use crate::trace::{span_id, Micros, SpanKind, TraceEvent};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Span-id namespace tag for per-node proposal phases.
 pub const TAG_PROPOSAL: u8 = 1;
@@ -290,8 +290,13 @@ impl<'a> CausalGraph<'a> {
             })
             .copied()?;
 
+        // Steps already walked, never walked again: a zero-length step
+        // whose gating vote is the node's own, recorded after the step,
+        // would otherwise name itself as its own predecessor forever.
+        let mut walked = HashSet::new();
         loop {
             let (idx, st) = cur;
+            walked.insert(idx);
             push(
                 &mut pts,
                 Point::new(
@@ -305,7 +310,7 @@ impl<'a> CausalGraph<'a> {
             if st.cause == 0 {
                 // Timeout conclusion: the wait spans the whole step
                 // window; the predecessor concluded at the window's start.
-                match self.prev_phase(st.node, round, idx) {
+                match self.prev_phase(st.node, round, idx, &walked) {
                     Some(prev) => cur = prev,
                     None => {
                         self.descend_proposal(st.node, round, &mut pts, &mut push);
@@ -348,7 +353,7 @@ impl<'a> CausalGraph<'a> {
                 &mut pts,
                 Point::new(em.start, em.node, em.node, EdgeKind::BaStep, "emit".into()),
             );
-            match self.prev_phase(em.node, round, eidx) {
+            match self.prev_phase(em.node, round, eidx, &walked) {
                 Some(prev) => cur = prev,
                 None => {
                     self.descend_proposal(em.node, round, &mut pts, &mut push);
@@ -382,14 +387,20 @@ impl<'a> CausalGraph<'a> {
     }
 
     /// The step conclusion recorded at `node` for `round` immediately
-    /// before buffer index `before` — the phase whose conclusion
-    /// triggered whatever happened at `before`.
-    fn prev_phase(&self, node: u32, round: u64, before: usize) -> Option<(usize, &'a TraceEvent)> {
+    /// before buffer index `before`, skipping steps already `walked` —
+    /// the phase whose conclusion triggered whatever happened at `before`.
+    fn prev_phase(
+        &self,
+        node: u32,
+        round: u64,
+        before: usize,
+        walked: &HashSet<usize>,
+    ) -> Option<(usize, &'a TraceEvent)> {
         self.steps_seq
             .get(&(node, round))?
             .iter()
             .rev()
-            .find(|(i, _)| *i < before)
+            .find(|(i, _)| *i < before && !walked.contains(i))
             .copied()
     }
 
@@ -584,6 +595,53 @@ mod tests {
         // Attribution sums back to the total.
         let total: u64 = p.attribution().iter().map(|(_, v)| v).sum();
         assert_eq!(total, p.attributed());
+    }
+
+    /// A zero-length step gated by the node's own vote, whose emission is
+    /// recorded after the step: the walk must end, and it continues to
+    /// the step before instead of revisiting the zero-length one.
+    #[test]
+    fn zero_length_step_gated_by_own_later_vote_terminates() {
+        let t = Tracer::bounded(16);
+        let r = 6u64;
+        let vote = stable_id(&[5u8; 32]);
+        t.span(SpanKind::Proposal, 0, r, 0)
+            .id(proposal_span_id(0, r))
+            .end_at(100);
+        t.span(SpanKind::BaStep, 0, r, 100)
+            .step(u32::MAX - 1)
+            .label("reduction1")
+            .id(step_span_id(0, r, u32::MAX - 1))
+            .end_at(300);
+        t.span(SpanKind::BaStep, 0, r, 300)
+            .step(0)
+            .label("final")
+            .id(step_span_id(0, r, 0))
+            .cause(vote)
+            .end_at(300);
+        t.span(SpanKind::Sortition, 0, r, 300)
+            .label("committee")
+            .id(vote)
+            .instant();
+        t.span(SpanKind::Round, 0, r, 0)
+            .label("final")
+            .cause(step_span_id(0, r, 0))
+            .ok(true)
+            .end_at(300);
+        let events = t.events();
+        let paths = critical_paths(&events);
+        assert_eq!(paths.len(), 1);
+        let p = &paths[0];
+        assert_eq!(p.attributed(), 300);
+        assert!(p
+            .edges
+            .iter()
+            .any(|e| e.kind == EdgeKind::BaStep && e.label == "reduction1"));
+        assert_eq!(
+            p.edges.iter().filter(|e| e.label == "final").count(),
+            1,
+            "the zero-length step is walked once"
+        );
     }
 
     #[test]

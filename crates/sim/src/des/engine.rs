@@ -14,7 +14,7 @@
 //! A window runs in three phases:
 //!
 //! 1. **Extract (sequential).** Pop every event below `E` from the
-//!    sharded queue in canonical `(time, class, seq)` order and assign
+//!    bucketed queue in canonical `(time, class, seq)` order and assign
 //!    each a monotone *order hint* from the engine-global counter.
 //! 2. **Node phase (parallel).** Work units — one per honest node, plus
 //!    a single unit holding *all* malicious nodes so coalition state is
@@ -39,7 +39,7 @@
 //! (`bench/src/bin/des_determinism.rs`) enforces exactly that.
 
 use crate::adversary::{AdversaryShared, Outgoing};
-use crate::des::queue::{OrderKey, ShardedQueue, CLASS_DELIVER, CLASS_WAKE};
+use crate::des::queue::{BucketQueue, OrderKey, CLASS_DELIVER, CLASS_WAKE};
 use crate::event::Micros;
 use crate::faults::{FaultAction, FaultEvent, FaultSchedule};
 use crate::harness::{
@@ -184,7 +184,7 @@ pub struct ParallelSim {
     keypairs: Vec<Keypair>,
     topology: Topology,
     net: Network,
-    queue: ShardedQueue<DesEvent>,
+    queue: BucketQueue<DesEvent>,
     /// Global events (workload injections, scripted faults), processed
     /// sequentially between windows.
     globals: std::collections::BinaryHeap<std::cmp::Reverse<(Micros, u64, GlobalKind)>>,
@@ -220,7 +220,7 @@ pub struct ParallelSim {
 impl ParallelSim {
     /// Builds the engine: same population, topology, network, and
     /// workload construction as [`crate::runner::Simulation`], but with
-    /// per-node trace buffers and a sharded queue.
+    /// per-node trace buffers and a bucketed event queue.
     pub fn new(mut cfg: DesConfig) -> ParallelSim {
         cfg.sim.apply_injected_bug();
         let sim = &cfg.sim;
@@ -272,15 +272,13 @@ impl ParallelSim {
             .collect();
         let net = Network::new(sim.n_users, sim.net.clone());
         let workload = Workload::from_config(sim);
-        // A few nodes per shard keeps heaps small without fragmenting.
-        let n_shards = (sim.n_users / 16).clamp(1, 64);
         let n_users = sim.n_users;
         ParallelSim {
             cells,
             keypairs,
             topology,
             net,
-            queue: ShardedQueue::new(n_shards),
+            queue: BucketQueue::new(),
             globals: std::collections::BinaryHeap::new(),
             faults: Vec::new(),
             next_churn: if sim.peer_churn_interval > 0 {
@@ -563,7 +561,7 @@ impl ParallelSim {
                     class: CLASS_WAKE,
                     tiebreak: n as u64,
                 };
-                self.queue.schedule(n, key, DesEvent::Wake);
+                self.queue.schedule(key, DesEvent::Wake);
             }
         }
         self.flush_traces();
@@ -597,7 +595,6 @@ impl ParallelSim {
             }
             let seq = self.next_order();
             self.queue.schedule(
-                to,
                 OrderKey {
                     time: arrival,
                     class: CLASS_DELIVER,
@@ -762,7 +759,7 @@ impl ParallelSim {
                 tiebreak: i as u64,
             };
             drop(g);
-            self.queue.schedule(i, key, DesEvent::Wake);
+            self.queue.schedule(key, DesEvent::Wake);
         }
     }
 

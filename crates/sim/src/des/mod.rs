@@ -1,6 +1,6 @@
 //! Parallel discrete-event simulation core.
 //!
-//! [`queue`] holds the sharded future-event set with its shard-stable
+//! [`queue`] holds the time-bucketed future-event set with its canonical
 //! ordering key; [`engine`] holds the conservative-lookahead window
 //! engine ([`ParallelSim`]) that runs node phases in parallel while
 //! keeping every result byte-identical to a single-worker run.
@@ -9,4 +9,4 @@ pub mod engine;
 pub mod queue;
 
 pub use engine::{DesConfig, ParallelSim};
-pub use queue::{OrderKey, ShardedQueue, CLASS_DELIVER, CLASS_WAKE};
+pub use queue::{BucketQueue, OrderKey, CLASS_DELIVER, CLASS_WAKE};

@@ -1,33 +1,36 @@
-//! Sharded event queues with a shard-count-independent pop order.
+//! The future-event set: time buckets with a canonical pop order.
 //!
-//! The parallel engine partitions future events across shards (node id
-//! modulo shard count) so that scheduling and window extraction touch
-//! small heaps instead of one global one. Correctness does not depend on
-//! the partition: every event carries an [`OrderKey`] that is globally
-//! unique and assigned only in sequential engine phases, and
-//! [`ShardedQueue::pop_window`] merges the per-shard drains back into
-//! exactly the order a single heap would produce. The property test
-//! below (and `tests/des.rs`) pins that invariant for 1, 2, and 8
-//! shards.
+//! Events are grouped into buckets of [`BUCKET_WIDTH`] virtual
+//! microseconds, kept in time order. [`BucketQueue::pop_window`] drains
+//! the whole buckets that lie below the window end, splits the one
+//! bucket the end falls into, and sorts what it took by [`OrderKey`].
+//! Keys are globally unique and assigned only in sequential engine
+//! phases, so the sorted result is exactly the sequence a single global
+//! heap would pop: the bucket width decides only how much each window
+//! scans, never the order. The property test below checks this against
+//! a reference sort over windows that end mid-bucket and span many
+//! buckets.
 
 use crate::event::Micros;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 /// Ordering class for deliveries: at the same instant, a message
-/// delivery is processed before a timer wake (a fixed, documented rule —
-/// what matters is that it is independent of shard count).
+/// delivery is processed before a timer wake (a fixed, documented rule).
 pub const CLASS_DELIVER: u8 = 0;
 /// Ordering class for timer wakes.
 pub const CLASS_WAKE: u8 = 1;
 
-/// Canonical, shard-stable ordering key: `(time, class, tiebreak)`.
+/// Width of one time bucket in virtual microseconds. A quarter of the
+/// 1 ms same-city latency that bounds a window, so a window drains a few
+/// whole buckets and splits at most one. Affects speed only.
+const BUCKET_WIDTH: Micros = 256;
+
+/// Canonical ordering key: `(time, class, tiebreak)`.
 ///
 /// Delivery tiebreaks are engine-global sequence numbers handed out in
 /// the sequential barrier phase (sends are serialized there in canonical
-/// order); wake tiebreaks are node ids. Both are independent of how the
-/// queue is sharded and of worker-thread interleaving, so the sorted pop
-/// order is too.
+/// order); wake tiebreaks are node ids. Both are independent of
+/// worker-thread interleaving, so the sorted pop order is too.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct OrderKey {
     /// Virtual time of the event.
@@ -38,88 +41,81 @@ pub struct OrderKey {
     pub tiebreak: u64,
 }
 
-struct Entry<T> {
-    key: OrderKey,
-    item: T,
+/// The events whose time falls in one bucket, unordered.
+struct Bucket<T> {
+    /// Earliest event time in `events`.
+    min_time: Micros,
+    events: Vec<(OrderKey, T)>,
 }
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
+/// A future-event set of time buckets, with payloads stored inline.
+pub struct BucketQueue<T> {
+    /// Buckets by `time / BUCKET_WIDTH`; none is empty.
+    buckets: BTreeMap<Micros, Bucket<T>>,
 }
 
-/// A future-event set partitioned by node across `n_shards` binary
-/// heaps, with payloads stored inline (no side-table indirection).
-pub struct ShardedQueue<T> {
-    shards: Vec<BinaryHeap<Reverse<Entry<T>>>>,
-    len: usize,
-}
-
-impl<T> ShardedQueue<T> {
-    /// An empty queue over `n_shards` shards (at least 1).
-    pub fn new(n_shards: usize) -> ShardedQueue<T> {
-        let n = n_shards.max(1);
-        ShardedQueue {
-            shards: (0..n).map(|_| BinaryHeap::new()).collect(),
-            len: 0,
+impl<T> Default for BucketQueue<T> {
+    fn default() -> Self {
+        BucketQueue {
+            buckets: BTreeMap::new(),
         }
     }
+}
 
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
+impl<T> BucketQueue<T> {
+    /// An empty queue.
+    pub fn new() -> BucketQueue<T> {
+        BucketQueue::default()
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
+    /// Schedules an event under `key`.
+    pub fn schedule(&mut self, key: OrderKey, item: T) {
+        let bucket = self
+            .buckets
+            .entry(key.time / BUCKET_WIDTH)
+            .or_insert_with(|| Bucket {
+                min_time: key.time,
+                events: Vec::new(),
+            });
+        bucket.min_time = bucket.min_time.min(key.time);
+        bucket.events.push((key, item));
     }
 
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Schedules an event for `node` under `key`.
-    pub fn schedule(&mut self, node: usize, key: OrderKey, item: T) {
-        let shard = node % self.shards.len();
-        self.shards[shard].push(Reverse(Entry { key, item }));
-        self.len += 1;
-    }
-
-    /// The earliest pending event time across all shards.
+    /// The earliest pending event time.
     pub fn next_time(&self) -> Option<Micros> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.peek().map(|Reverse(e)| e.key.time))
-            .min()
+        self.buckets.first_key_value().map(|(_, b)| b.min_time)
     }
 
-    /// Drains every event with `time < end` from all shards and returns
-    /// them sorted by [`OrderKey`] — the same sequence a single global
-    /// heap would pop, whatever the shard count.
+    /// Drains every event with `time < end` and returns them sorted by
+    /// [`OrderKey`] — the same sequence a single global heap would pop,
+    /// whatever the bucket width.
     pub fn pop_window(&mut self, end: Micros) -> Vec<(OrderKey, T)> {
         let mut out = Vec::new();
-        for shard in &mut self.shards {
-            while shard.peek().is_some_and(|Reverse(e)| e.key.time < end) {
-                let Reverse(e) = shard.pop().expect("peeked");
-                out.push((e.key, e.item));
+        // Buckets below this index hold only times below `end`.
+        let whole = end / BUCKET_WIDTH;
+        while let Some(mut entry) = self.buckets.first_entry() {
+            if *entry.key() < whole {
+                let mut events = entry.remove().events;
+                if out.is_empty() {
+                    out = events;
+                } else {
+                    out.append(&mut events);
+                }
+                continue;
             }
+            // The bucket `end` falls into: take its events below `end`.
+            let bucket = entry.get_mut();
+            if bucket.min_time < end {
+                out.extend(bucket.events.extract_if(.., |(k, _)| k.time < end));
+                match bucket.events.iter().map(|(k, _)| k.time).min() {
+                    Some(t) => bucket.min_time = t,
+                    None => {
+                        entry.remove();
+                    }
+                }
+            }
+            break;
         }
-        self.len -= out.len();
-        // Each shard drains in key order; a final sort merges the runs.
         // Keys are globally unique, so the order is total.
         out.sort_unstable_by_key(|(k, _)| *k);
         out
@@ -131,92 +127,74 @@ mod tests {
     use super::*;
     use algorand_crypto::rng::Rng;
 
-    /// Builds a randomized batch of (node, key) pairs with unique keys,
-    /// mimicking the engine's mix of delivery and wake events.
-    fn random_batch(seed: u64, n: usize) -> Vec<(usize, OrderKey)> {
-        let mut rng = Rng::seed_from_u64(seed);
-        (0..n)
-            .map(|i| {
-                let node = rng.gen_range_usize(97);
-                let time = rng.gen_range_u64(1_000);
-                let class = if rng.gen_range_u64(2) == 0 {
-                    CLASS_DELIVER
-                } else {
-                    CLASS_WAKE
-                };
-                // Unique tiebreak makes the key total, as in the engine
-                // (delivery seqs are globally unique; wakes are deduped
-                // per node before scheduling).
-                (
-                    node,
-                    OrderKey {
-                        time,
-                        class,
-                        tiebreak: i as u64,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    fn drain_with_shards(batch: &[(usize, OrderKey)], n_shards: usize) -> Vec<OrderKey> {
-        let mut q = ShardedQueue::new(n_shards);
-        for &(node, key) in batch {
-            q.schedule(node, key, node);
+    fn key(time: Micros, class: u8, tiebreak: u64) -> OrderKey {
+        OrderKey {
+            time,
+            class,
+            tiebreak,
         }
-        let mut out = Vec::new();
-        // Drain in several windows to exercise partial pops too.
-        for end in [250, 500, 750, u64::MAX] {
-            for (k, item) in q.pop_window(end) {
-                assert_eq!(item % n_shards.max(1), k_shard(k, item, n_shards));
-                out.push(k);
-            }
-        }
-        assert!(q.is_empty());
-        out
     }
 
-    fn k_shard(_k: OrderKey, node: usize, n_shards: usize) -> usize {
-        node % n_shards.max(1)
-    }
-
+    /// Interleaves random schedules with random windows and checks every
+    /// window against a reference: the pending keys below the window end,
+    /// sorted. Windows end mid-bucket, at bucket edges, and span many
+    /// buckets; some events land below earlier window ends.
     #[test]
-    fn pop_order_is_identical_across_1_2_and_8_shards() {
+    fn pop_window_matches_a_reference_sort() {
         for seed in [7u64, 21, 1234, 9_999] {
-            let batch = random_batch(seed, 500);
-            let one = drain_with_shards(&batch, 1);
-            let two = drain_with_shards(&batch, 2);
-            let eight = drain_with_shards(&batch, 8);
-            assert_eq!(one, two, "seed {seed}: 1 vs 2 shards");
-            assert_eq!(one, eight, "seed {seed}: 1 vs 8 shards");
-            // And the merged order is the canonical sorted order.
-            let mut sorted = one.clone();
-            sorted.sort();
-            assert_eq!(one, sorted, "seed {seed}: canonical order");
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut q = BucketQueue::new();
+            let mut pending: Vec<OrderKey> = Vec::new();
+            let mut now: Micros = 0;
+            let mut tiebreak = 0u64;
+            for _ in 0..400 {
+                for _ in 0..rng.gen_range_u64(40) {
+                    // Mostly ahead of the frontier, as the engine schedules;
+                    // sometimes at or behind it.
+                    let time = if rng.gen_range_u64(8) == 0 {
+                        now.saturating_sub(rng.gen_range_u64(3 * BUCKET_WIDTH))
+                    } else {
+                        now + rng.gen_range_u64(40 * BUCKET_WIDTH)
+                    };
+                    let class = if rng.gen_range_u64(2) == 0 {
+                        CLASS_DELIVER
+                    } else {
+                        CLASS_WAKE
+                    };
+                    // Unique tiebreaks make keys total, as in the engine.
+                    tiebreak += 1;
+                    let k = key(time, class, tiebreak);
+                    q.schedule(k, tiebreak);
+                    pending.push(k);
+                }
+                let min = pending.iter().map(|k| k.time).min();
+                assert_eq!(q.next_time(), min, "seed {seed}");
+                now += match rng.gen_range_u64(4) {
+                    0 => 1,
+                    1 => BUCKET_WIDTH,
+                    2 => rng.gen_range_u64(BUCKET_WIDTH) + 1,
+                    _ => rng.gen_range_u64(12 * BUCKET_WIDTH) + 1,
+                };
+                let popped = q.pop_window(now);
+                let mut want: Vec<OrderKey> =
+                    pending.iter().copied().filter(|k| k.time < now).collect();
+                want.sort();
+                pending.retain(|k| k.time >= now);
+                let got: Vec<OrderKey> = popped.iter().map(|(k, _)| *k).collect();
+                assert_eq!(got, want, "seed {seed}, window end {now}");
+                assert!(popped.iter().all(|(k, item)| k.tiebreak == *item));
+            }
+            let rest = q.pop_window(Micros::MAX);
+            assert_eq!(rest.len(), pending.len());
+            assert_eq!(q.next_time(), None);
         }
     }
 
     #[test]
     fn deliveries_sort_before_wakes_at_the_same_instant() {
-        let mut q = ShardedQueue::new(4);
-        q.schedule(
-            3,
-            OrderKey {
-                time: 10,
-                class: CLASS_WAKE,
-                tiebreak: 3,
-            },
-            "wake",
-        );
-        q.schedule(
-            5,
-            OrderKey {
-                time: 10,
-                class: CLASS_DELIVER,
-                tiebreak: 99,
-            },
-            "deliver",
-        );
+        let mut q = BucketQueue::new();
+        q.schedule(key(10, CLASS_WAKE, 3), "wake");
+        q.schedule(key(10, CLASS_DELIVER, 99), "deliver");
         let popped = q.pop_window(11);
         assert_eq!(
             popped.iter().map(|(_, s)| *s).collect::<Vec<_>>(),
@@ -225,30 +203,20 @@ mod tests {
     }
 
     #[test]
-    fn next_time_spans_all_shards() {
-        let mut q: ShardedQueue<()> = ShardedQueue::new(3);
+    fn window_end_is_exclusive_and_next_time_tracks_splits() {
+        let mut q: BucketQueue<()> = BucketQueue::new();
         assert_eq!(q.next_time(), None);
-        q.schedule(
-            0,
-            OrderKey {
-                time: 50,
-                class: CLASS_DELIVER,
-                tiebreak: 0,
-            },
-            (),
-        );
-        q.schedule(
-            2,
-            OrderKey {
-                time: 20,
-                class: CLASS_WAKE,
-                tiebreak: 2,
-            },
-            (),
-        );
+        q.schedule(key(50, CLASS_DELIVER, 0), ());
+        q.schedule(key(20, CLASS_WAKE, 2), ());
+        q.schedule(key(3 * BUCKET_WIDTH + 1, CLASS_WAKE, 5), ());
         assert_eq!(q.next_time(), Some(20));
-        // Window end is exclusive.
         assert_eq!(q.pop_window(20).len(), 0);
-        assert_eq!(q.pop_window(51).len(), 2);
+        // Splitting the first bucket leaves its later event behind.
+        assert_eq!(q.pop_window(21).len(), 1);
+        assert_eq!(q.next_time(), Some(50));
+        assert_eq!(q.pop_window(51).len(), 1);
+        assert_eq!(q.next_time(), Some(3 * BUCKET_WIDTH + 1));
+        assert_eq!(q.pop_window(Micros::MAX).len(), 1);
+        assert_eq!(q.next_time(), None);
     }
 }

@@ -24,7 +24,7 @@ use algorand_crypto::Keypair;
 use algorand_ledger::seed::selection_seed_round;
 use algorand_ledger::{Blockchain, Transaction};
 use algorand_obs::{MonitorConfig, Tracer};
-use algorand_sortition::binomial::binomial_cdf;
+use algorand_sortition::committee::committee_upper_bound;
 use algorand_txpool::PoolMetrics;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -288,19 +288,6 @@ impl KindBytes {
             ("bytes_catchup", self.catchup),
         ]
     }
-}
-
-/// Smallest `k` whose binomial upper tail `P[Binomial(W, τ/W) > k]` falls
-/// below ~1e-12 — the §7.5 bound the monitor enforces on the
-/// deduplicated committee weight of any (round, step).
-pub(crate) fn committee_upper_bound(total_weight: u64, tau: f64) -> u64 {
-    let w = total_weight.max(1);
-    let p = (tau / w as f64).min(1.0);
-    let mut k = (tau as u64).min(w);
-    while k < w && 1.0 - binomial_cdf(k, w, p) >= 1e-12 {
-        k += 1;
-    }
-    k
 }
 
 /// One node slot: the honest protocol, or its adversarial wrapper.

@@ -18,7 +18,7 @@
 //! computation behind Figure 3, where h = 80% yields τ ≈ 2000 with
 //! T ≈ 0.685.
 
-use crate::binomial::{poisson_cdf, poisson_ln_pmf, poisson_sf};
+use crate::binomial::{ln_choose, poisson_cdf, poisson_ln_pmf, poisson_sf};
 
 /// The violation probability of the BA⋆ step constraints for one step.
 ///
@@ -179,9 +179,136 @@ pub fn certificate_forgery_log10_bound(tau: f64, threshold: f64, honest_fraction
 
 use crate::binomial::ln_gamma;
 
+/// Upper-tail probability below which [`committee_upper_bound`] stops.
+pub const COMMITTEE_TAIL: f64 = 1e-12;
+
+/// Smallest `k ≥ min(⌊τ⌋, W)` whose binomial upper tail
+/// `P[Binomial(W, τ/W) > k]` falls below [`COMMITTEE_TAIL`] — the §7.5
+/// bound an invariant monitor enforces on the deduplicated committee
+/// weight of any (round, step).
+///
+/// The masses are computed once, in log space, from `⌊τ⌋ + 1` (the mode)
+/// up to where they vanish, so `(1 − p)^W` never underflows at large
+/// stake; the tail is then summed from the top down. The cost is O(σ)
+/// terms rather than the O(k²) of re-summing the CDF for every `k`.
+pub fn committee_upper_bound(total_weight: u64, tau: f64) -> u64 {
+    let w = total_weight.max(1);
+    let p = (tau / w as f64).min(1.0);
+    let floor = (tau as u64).min(w);
+    if p <= 0.0 {
+        return floor;
+    }
+    if p >= 1.0 {
+        // All mass sits at W.
+        return w;
+    }
+    // Past the mode, a term below e^−69 (1e-30) ends the sum: the rest
+    // decays geometrically and cannot reach COMMITTEE_TAIL.
+    const LN_NEGLIGIBLE: f64 = -69.0;
+    let mode = (((w + 1) as f64 * p) as u64).min(w);
+    let ln_ratio = p.ln() - (-p).ln_1p();
+    let mut terms = Vec::new();
+    let mut j = floor + 1;
+    let mut ln_term = if j <= w {
+        ln_choose(w, j) + j as f64 * p.ln() + (w - j) as f64 * (-p).ln_1p()
+    } else {
+        f64::NEG_INFINITY
+    };
+    while j <= w && (j <= mode || ln_term >= LN_NEGLIGIBLE) {
+        terms.push(ln_term.exp());
+        ln_term += ln_ratio + ((w - j) as f64).ln() - ((j + 1) as f64).ln();
+        j += 1;
+    }
+    // terms[i] = P[X = floor + 1 + i]; scanning down, `tail` becomes
+    // P[X > k] for k = floor + i.
+    let mut tail = 0.0;
+    for (i, term) in terms.iter().enumerate().rev() {
+        tail += term;
+        if tail >= COMMITTEE_TAIL {
+            return floor + 1 + i as u64;
+        }
+    }
+    floor
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The previous bound: re-sums the CDF from k = 0 for every k.
+    fn committee_upper_bound_by_cdf(total_weight: u64, tau: f64) -> u64 {
+        use crate::binomial::binomial_cdf;
+        let w = total_weight.max(1);
+        let p = (tau / w as f64).min(1.0);
+        let mut k = (tau as u64).min(w);
+        while k < w && 1.0 - binomial_cdf(k, w, p) >= COMMITTEE_TAIL {
+            k += 1;
+        }
+        k
+    }
+
+    /// Grid points where the CDF search was wrong, with the exact answer
+    /// from rational arithmetic (P[X > k] < 1e-12 ≤ P[X > k − 1]). Off by
+    /// one: `1 − cdf` cancels to ~1e-13 absolute error. Stuck at W:
+    /// `pmf(0) = (1 − p)^W` underflows to 0, so the CDF never grows.
+    const CDF_SEARCH_WRONG: [(u64, f64, u64); 8] = [
+        (333, 300.0, 330),    // P[X > 330] = 5.7e-13; CDF search: W
+        (1_000, 700.0, 798),  // P[X > 798] = 8.6e-13; CDF search: W
+        (4_000, 99.9, 177),   // P[X > 176] = 1.03e-12; CDF search: 176
+        (4_000, 250.0, 364),  // P[X > 364] = 9.7e-13; CDF search: 365
+        (4_000, 300.0, 424),  // P[X > 423] = 1.10e-12; CDF search: 423
+        (4_000, 700.0, 874),  // P[X > 874] = 8.8e-13; CDF search: W
+        (10_000, 250.0, 367), // P[X > 367] = 8.9e-13; CDF search: 368
+        (10_000, 300.0, 427), // P[X > 427] = 9.3e-13; CDF search: 428
+    ];
+
+    #[test]
+    fn committee_upper_bound_matches_the_cdf_search_on_small_inputs() {
+        let check = |w: u64, tau: f64| {
+            let got = committee_upper_bound(w, tau);
+            let old = committee_upper_bound_by_cdf(w, tau);
+            match CDF_SEARCH_WRONG
+                .iter()
+                .find(|(ww, t, _)| (*ww, *t) == (w, tau))
+            {
+                Some(&(_, _, exact)) => {
+                    assert_eq!(got, exact, "W={w} τ={tau}");
+                    assert_ne!(old, exact, "W={w} τ={tau}: CDF search now right");
+                }
+                None => assert_eq!(got, old, "W={w} τ={tau}"),
+            }
+        };
+        // Scaled parameters: τ_step = W/2 and τ_final = 0.6·W, clamped to
+        // [10, 250] and [12, 300] — the values both callers derive for the
+        // default node (5 × 10), the benchmark node (5 × 100) and
+        // simulator populations of 12 to 1,000 users at stake 10.
+        for w in [50u64, 120, 500, 1_000, 2_000, 10_000] {
+            let wf = w as f64;
+            check(w, (wf * 0.5).clamp(10.0, 250.0));
+            check(w, (wf * 0.6).clamp(12.0, 300.0));
+        }
+        for w in [0u64, 1, 2, 3, 5, 10, 17, 40, 100, 333, 1_000, 4_000] {
+            for tau in [0.0, 0.5, 1.0, 2.5, 10.0, 26.0, 99.9, 250.0, 300.0, 700.0] {
+                check(w, tau);
+            }
+        }
+    }
+
+    #[test]
+    fn committee_upper_bound_is_fast_at_large_stake() {
+        // 5 users × 100,000 stake; τ past e^−τ underflow (≈745) too.
+        let start = std::time::Instant::now();
+        for tau in [250.0f64, 300.0, 2_000.0, 10_000.0] {
+            let k = committee_upper_bound(500_000, tau);
+            let sigma = tau.sqrt();
+            // A 1e-12 tail sits about 7σ above the mean.
+            assert!(
+                (k as f64) > tau + 5.0 * sigma && (k as f64) < tau + 9.0 * sigma,
+                "τ={tau} k={k}"
+            );
+        }
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+    }
 
     #[test]
     fn forgery_bound_matches_paper_claim() {

@@ -5,6 +5,9 @@
 #      every PR must keep green),
 #   2. the full workspace test suite (every crate's unit, integration
 #      and doc tests),
+#   2b. the benchmark package (perfbench/, a workspace of its own that
+#      uses the crates as libraries): release build plus its self-tests,
+#      so a public-type change in a crate cannot break it unseen,
 #   3. a 50-user / 200-transaction end-to-end smoke simulation that
 #      fails unless >=95% of injected transactions finalize, each
 #      exactly once (see crates/bench/src/bin/txpool_smoke.rs),
@@ -90,6 +93,10 @@ cargo test -q
 
 echo "== workspace tests =="
 cargo test --workspace -q
+
+echo "== benchmark package: build + self-tests =="
+cargo build --release --manifest-path perfbench/Cargo.toml --target-dir target
+cargo test --release -q --manifest-path perfbench/Cargo.toml --target-dir target
 
 echo "== txpool smoke simulation =="
 cargo run --release -p algorand-bench --bin txpool_smoke
