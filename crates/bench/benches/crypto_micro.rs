@@ -4,7 +4,9 @@
 
 use algorand_ba::{RealVerifier, RoundWeights, StepKind, VoteContext, VoteMessage, VoteVerifier};
 use algorand_bench::timing::{bench, bench_throughput};
-use algorand_crypto::{sha256, sig, vrf, Keypair};
+use algorand_crypto::{sha256, sig, vrf, Keypair, PublicKey};
+use algorand_ledger::transaction::SIG_MEMO_CAP;
+use algorand_ledger::Transaction;
 use algorand_sortition::{select, Role, SortitionParams};
 
 fn bench_sha256() {
@@ -29,6 +31,43 @@ fn bench_signatures() {
             &msg,
             std::hint::black_box(&signature),
         ));
+    });
+}
+
+fn bench_key_decode() {
+    // More distinct valid keys than the memo holds: cycling through them
+    // in order, every key was cleared out before it comes round again.
+    let keys: Vec<[u8; 32]> = (0..=sig::KEY_MEMO_CAP as u32)
+        .map(|i| {
+            let mut seed = [0u8; 32];
+            seed[..4].copy_from_slice(&i.to_le_bytes());
+            Keypair::from_seed(seed).pk.to_bytes()
+        })
+        .collect();
+    let mut i = 0;
+    bench("key/decode_cold", || {
+        i = (i + 1) % keys.len();
+        let _ = std::hint::black_box(PublicKey::from_bytes(std::hint::black_box(&keys[i])));
+    });
+    bench("key/decode_memo", || {
+        let _ = std::hint::black_box(PublicKey::from_bytes(std::hint::black_box(&keys[0])));
+    });
+}
+
+fn bench_tx_signature() {
+    // As above: more distinct transactions than the signature memo holds.
+    let from = Keypair::from_seed([4; 32]);
+    let to = Keypair::from_seed([5; 32]).pk;
+    let txs: Vec<Transaction> = (0..=SIG_MEMO_CAP as u64)
+        .map(|nonce| Transaction::payment(&from, to, 1, nonce + 1))
+        .collect();
+    let mut i = 0;
+    bench("tx/signature_valid_cold", || {
+        i = (i + 1) % txs.len();
+        std::hint::black_box(std::hint::black_box(&txs[i]).signature_valid());
+    });
+    bench("tx/signature_valid_memo", || {
+        std::hint::black_box(std::hint::black_box(&txs[0]).signature_valid());
     });
 }
 
@@ -119,6 +158,8 @@ fn bench_vote_processing() {
 fn main() {
     bench_sha256();
     bench_signatures();
+    bench_key_decode();
+    bench_tx_signature();
     bench_vrf();
     bench_sortition();
     bench_vote_processing();

@@ -51,11 +51,9 @@ fn main() -> ExitCode {
     addrs.sort();
     addrs.dedup();
 
-    let health = ClusterHealth::collect_with_rates(
-        &addrs,
-        Duration::from_secs(10),
-        Duration::from_millis(interval_ms),
-    );
+    let health = ClusterHealth::collect_with_rates(&addrs, Duration::from_secs(10), |_| {
+        std::thread::sleep(Duration::from_millis(interval_ms))
+    });
     let report = health.render();
     print!("{report}");
     if let Some(path) = out {

@@ -87,11 +87,20 @@ fn main() {
         .iter()
         .map(|c| read_trimmed(&c.wal_dir.join("addr")))
         .collect();
-    let health = ClusterHealth::collect_with_rates(
-        &addrs,
-        Duration::from_secs(10),
-        Duration::from_millis(750),
-    );
+    // The second pass waits until some node has persisted a round past
+    // the first pass's highest tip, so the round rate cannot read zero
+    // just because both passes landed inside one round.
+    let health = ClusterHealth::collect_with_rates(&addrs, Duration::from_secs(10), |first| {
+        let tip = first.nodes.iter().map(|n| n.tip).max().unwrap_or(0);
+        wait_until(
+            || {
+                cfgs.iter()
+                    .any(|c| status_field(&c.wal_dir, "walled").is_some_and(|w| w as i64 > tip))
+            },
+            Duration::from_secs(60),
+            "a node to persist a round past the first health scrape",
+        );
+    });
     let report = health.render();
     println!("{report}");
     std::fs::create_dir_all("results").expect("create results dir");
@@ -117,7 +126,15 @@ fn main() {
         health.digests_agree(),
         "nodes at the same tip must agree on the tip hash"
     );
-    println!("[localnet] telemetry ok: {N} clean scrapes mid-run");
+    let mean_rate = health
+        .round_rates
+        .as_ref()
+        .map_or(0.0, |r| r.iter().sum::<f64>() / r.len().max(1) as f64);
+    assert!(
+        mean_rate > 0.0,
+        "mid-run round rate must be positive: a node advanced between the scrapes"
+    );
+    println!("[localnet] telemetry ok: {N} clean scrapes mid-run, {mean_rate:.2} rounds/s");
 
     // --- Cluster trace plane: drain all N processes mid-run. ----------
     // Archive one raw exposition alongside the health report — the
@@ -281,10 +298,6 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&root);
     let wall = t0.elapsed().as_secs_f64();
-    let mean_rate = health
-        .round_rates
-        .as_ref()
-        .map_or(0.0, |r| r.iter().sum::<f64>() / r.len().max(1) as f64);
     Baseline::new("localnet")
         .metric(baseline::WALL_CLOCK_S, wall)
         .metric("nodes", N as f64)

@@ -26,6 +26,7 @@ pub mod codec;
 pub mod edwards;
 pub mod error;
 pub mod field;
+pub mod memo;
 pub mod rng;
 pub mod scalar;
 pub mod sha256;

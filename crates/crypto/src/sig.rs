@@ -9,6 +9,7 @@
 
 use crate::edwards::EdwardsPoint;
 use crate::error::CryptoError;
+use crate::memo::Memo;
 use crate::scalar::Scalar;
 use crate::sha256::{sha256_concat, Sha256};
 
@@ -78,6 +79,24 @@ impl SecretKey {
     }
 }
 
+/// Most distinct key encodings the key memo holds before it clears.
+pub const KEY_MEMO_CAP: usize = 4_096;
+
+/// Key encodings that passed [`PublicKey::from_bytes`]'s validation, with
+/// their decompressed points.
+static KEY_MEMO: Memo<EdwardsPoint> = Memo::new(KEY_MEMO_CAP);
+
+/// The full check behind [`PublicKey::from_bytes`]: the bytes decompress
+/// to a curve point in the prime-order subgroup (ℓ·P = identity) other
+/// than the identity.
+fn validate_point(bytes: &[u8; 32]) -> Result<EdwardsPoint, CryptoError> {
+    let point = EdwardsPoint::decompress(bytes).ok_or(CryptoError::InvalidPoint)?;
+    if !point.is_torsion_free() || point.is_identity() {
+        return Err(CryptoError::InvalidPoint);
+    }
+    Ok(point)
+}
+
 /// A public verification key: a compressed point plus its decompression.
 ///
 /// The decompressed point is cached because vote verification (ProcessMsg,
@@ -91,15 +110,17 @@ pub struct PublicKey {
 impl PublicKey {
     /// Parses a compressed public key, validating the point.
     ///
+    /// A passing encoding is remembered process-wide (at most
+    /// [`KEY_MEMO_CAP`] of them), so the same 32 bytes are fully validated
+    /// once; a rejected encoding is never remembered and pays the full
+    /// check on every call.
+    ///
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidPoint`] if the bytes do not name a
     /// point in the prime-order subgroup.
     pub fn from_bytes(bytes: &[u8; 32]) -> Result<PublicKey, CryptoError> {
-        let point = EdwardsPoint::decompress(bytes).ok_or(CryptoError::InvalidPoint)?;
-        if !point.is_torsion_free() || point.is_identity() {
-            return Err(CryptoError::InvalidPoint);
-        }
+        let point = KEY_MEMO.get_or_check(bytes, || validate_point(bytes))?;
         Ok(PublicKey {
             bytes: *bytes,
             point,
@@ -345,6 +366,88 @@ mod tests {
         // The identity point must be rejected.
         let id = crate::edwards::EdwardsPoint::identity().compress();
         assert!(PublicKey::from_bytes(&id).is_err());
+    }
+
+    /// Encodings that must fail validation: off the curve, the identity,
+    /// a point of order 2, one of order 4, and `valid` plus an order-4
+    /// component.
+    fn invalid_encodings(valid: &PublicKey) -> Vec<[u8; 32]> {
+        let mut off_curve = [0u8; 32];
+        off_curve[0] = 2;
+        // y = 0 names the order-4 points (±√−1, 0).
+        let order4 = EdwardsPoint::decompress(&[0u8; 32]).expect("on curve");
+        assert!(order4.double().double().is_identity() && !order4.double().is_identity());
+        let order2 = order4.double();
+        vec![
+            off_curve,
+            EdwardsPoint::identity().compress(),
+            order2.compress(),
+            order4.compress(),
+            valid.point().add(&order4).compress(),
+        ]
+    }
+
+    /// Serializes the tests that assert what the process-wide key memo
+    /// holds, since one of them fills and clears it.
+    fn key_memo_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn assert_all_rejected(invalid: &[[u8; 32]], when: &str) {
+        for bytes in invalid {
+            assert!(
+                PublicKey::from_bytes(bytes).is_err(),
+                "{when}: accepted {bytes:02x?}"
+            );
+            assert!(!KEY_MEMO.contains(bytes), "{when}: memoized a rejection");
+        }
+    }
+
+    #[test]
+    fn memo_hit_equals_cold_validation() {
+        let _serial = key_memo_lock();
+        let keypair = kp(20);
+        let bytes = keypair.pk.to_bytes();
+        let cold = validate_point(&bytes).expect("valid key");
+        let first = PublicKey::from_bytes(&bytes).unwrap();
+        assert!(KEY_MEMO.contains(&bytes));
+        let hit = PublicKey::from_bytes(&bytes).unwrap();
+        for key in [first, hit] {
+            assert_eq!(key.to_bytes(), bytes);
+            assert!(*key.point() == cold);
+            assert!(*key.point() == *keypair.pk.point());
+        }
+    }
+
+    #[test]
+    fn invalid_keys_rejected_before_and_after_memoization_and_clearing() {
+        let _serial = key_memo_lock();
+        let keypair = kp(21);
+        let invalid = invalid_encodings(&keypair.pk);
+        assert_all_rejected(&invalid, "before the valid key is memoized");
+        PublicKey::from_bytes(keypair.pk.as_bytes()).unwrap();
+        assert!(KEY_MEMO.contains(keypair.pk.as_bytes()));
+        assert_all_rejected(&invalid, "after the valid key is memoized");
+
+        // Fill past the cap with distinct valid keys k·B, k = 2, 3, ...
+        let b = EdwardsPoint::basepoint();
+        let mut p = b;
+        let mut first = None;
+        for _ in 0..=KEY_MEMO_CAP {
+            p = p.add(&b);
+            let bytes = p.compress();
+            PublicKey::from_bytes(&bytes).unwrap();
+            first.get_or_insert(bytes);
+            assert!(KEY_MEMO.len() <= KEY_MEMO_CAP);
+        }
+        assert!(
+            !KEY_MEMO.contains(&first.unwrap()),
+            "cap + 1 distinct keys must have cleared the memo at least once"
+        );
+        assert_all_rejected(&invalid, "after the memo filled and cleared");
+        assert!(PublicKey::from_bytes(keypair.pk.as_bytes()).is_ok());
     }
 
     #[test]

@@ -206,7 +206,8 @@ impl Block {
         })
     }
 
-    /// Validates a received block against its predecessor (§8.1).
+    /// Validates a received block against its predecessor (§8.1) and
+    /// returns the account state after it.
     ///
     /// `accounts` is the state after the previous block; `now` is the
     /// validator's clock and `max_skew` the accepted timestamp divergence
@@ -222,7 +223,7 @@ impl Block {
         accounts: &Accounts,
         now: Micros,
         max_skew: Micros,
-    ) -> Result<(), BlockError> {
+    ) -> Result<Accounts, BlockError> {
         if self.round != prev.round + 1 {
             return Err(BlockError::BadRound);
         }
@@ -235,7 +236,7 @@ impl Block {
             if self.hash() != canonical.hash() {
                 return Err(BlockError::BadSeed);
             }
-            return Ok(());
+            return Ok(accounts.clone());
         }
         let (Some(proposer), Some(seed_proof)) = (&self.proposer, &self.seed_proof) else {
             return Err(BlockError::MissingProposer);
@@ -254,7 +255,7 @@ impl Block {
         for tx in &self.txs {
             state.apply(tx).map_err(|_| BlockError::BadTransaction)?;
         }
-        Ok(())
+        Ok(state)
     }
 }
 
@@ -306,10 +307,19 @@ mod tests {
         let accounts = Accounts::genesis([(alice.pk, 100), (bob.pk, 50)]);
         let g = genesis();
         let tx = Transaction::payment(&alice, bob.pk, 10, 1);
-        let block = proposed_block(&alice, &g, vec![tx]);
-        block
+        let block = proposed_block(&alice, &g, vec![tx.clone()]);
+        let after = block
             .validate(&g, &accounts, 1_000_000, 3_600_000_000)
             .unwrap();
+        let mut expected = accounts.clone();
+        expected.apply(&tx).unwrap();
+        assert_eq!(after, expected, "validate returns the post-block state");
+        // The canonical empty block leaves the state unchanged.
+        let empty = Block::empty(1, g.hash(), &g.seed);
+        assert_eq!(
+            empty.validate(&g, &accounts, 1_000_000, 3_600_000_000),
+            Ok(accounts)
+        );
     }
 
     #[test]
@@ -406,9 +416,12 @@ mod tests {
         let t1 = Transaction::payment(&alice, bob.pk, 60, 1);
         let t2 = Transaction::payment(&alice, bob.pk, 40, 2);
         let block = proposed_block(&alice, &g, vec![t1, t2]);
-        block
+        let after = block
             .validate(&g, &accounts, 1_000_000, 3_600_000_000)
             .unwrap();
+        assert_eq!(after.balance(&alice.pk), 0);
+        assert_eq!(after.balance(&bob.pk), 100);
+        assert_eq!(after.nonce(&alice.pk), 2);
     }
 
     #[test]

@@ -259,17 +259,13 @@ impl Blockchain {
         if block.prev_hash != self.tip_hash() {
             return Err(ChainError::UnknownParent);
         }
-        block.validate(
+        let state = block.validate(
             self.tip(),
             self.accounts(),
             now,
             self.params.max_timestamp_skew,
         )?;
-        let mut state = self.accounts().clone();
         for tx in &block.txs {
-            state
-                .apply(tx)
-                .expect("validate() already checked every transaction");
             self.tx_index.insert(tx.id(), block.round);
         }
         let hash = block.hash();
@@ -482,10 +478,8 @@ impl Blockchain {
             let prev = &self.all_blocks[&pair[0]].block;
             let block = &self.all_blocks[&pair[1]].block;
             let state = states.last().expect("nonempty");
-            block.validate(prev, state, now, self.params.max_timestamp_skew)?;
-            let mut next = state.clone();
+            let next = block.validate(prev, state, now, self.params.max_timestamp_skew)?;
             for tx in &block.txs {
-                next.apply(tx).expect("validated");
                 tx_index.insert(tx.id(), block.round);
             }
             states.push(next);

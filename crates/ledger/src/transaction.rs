@@ -5,8 +5,16 @@
 //! number prevents replay.
 
 use crate::codec::{DecodeError, Reader, WriteExt};
+use algorand_crypto::memo::Memo;
 use algorand_crypto::sig::{self, Signature};
 use algorand_crypto::{sha256, Keypair, PublicKey};
+
+/// Most transaction ids the signature memo holds before it clears.
+pub const SIG_MEMO_CAP: usize = 65_536;
+
+/// Ids of transactions whose signature verified. The id hashes the full
+/// encoding, signature included, so it names exactly the bytes checked.
+static SIG_MEMO: Memo<()> = Memo::new(SIG_MEMO_CAP);
 
 /// A signed payment.
 #[derive(Clone, Debug)]
@@ -51,9 +59,18 @@ impl Transaction {
     }
 
     /// Verifies the sender's signature.
+    ///
+    /// A transaction whose signature verified is remembered process-wide
+    /// by its [`Transaction::id`] (at most [`SIG_MEMO_CAP`] of them), so
+    /// pool admission, block validation and chain append share one
+    /// verification. A failing signature is never remembered.
     pub fn signature_valid(&self) -> bool {
-        let digest = Self::signing_digest(&self.from, &self.to, self.amount, self.nonce);
-        sig::verify(&self.from, &digest, &self.sig).is_ok()
+        SIG_MEMO
+            .get_or_check(&self.id(), || {
+                let digest = Self::signing_digest(&self.from, &self.to, self.amount, self.nonce);
+                sig::verify(&self.from, &digest, &self.sig)
+            })
+            .is_ok()
     }
 
     /// A content hash identifying this transaction.
@@ -123,6 +140,59 @@ mod tests {
         let mut tx = Transaction::payment(&a, b.pk, 50, 1);
         tx.amount = 500;
         assert!(!tx.signature_valid());
+    }
+
+    #[test]
+    fn tampering_any_field_of_a_verified_transaction_is_rejected() {
+        let a = kp(11);
+        let b = kp(12);
+        let tx = Transaction::payment(&a, b.pk, 50, 3);
+        assert!(tx.signature_valid());
+        assert!(SIG_MEMO.contains(&tx.id()));
+        let other = Transaction::payment(&a, b.pk, 51, 3);
+        let mut tampered = Vec::new();
+        for field in 0..5 {
+            let mut t = tx.clone();
+            match field {
+                0 => t.from = kp(13).pk,
+                1 => t.to = kp(13).pk,
+                2 => t.amount += 1,
+                3 => t.nonce += 1,
+                _ => t.sig = other.sig,
+            }
+            tampered.push(t);
+        }
+        for t in &tampered {
+            assert_ne!(t.id(), tx.id());
+            for _ in 0..2 {
+                assert!(!t.signature_valid(), "tampered copy accepted: {t:?}");
+            }
+            assert!(!SIG_MEMO.contains(&t.id()));
+        }
+        assert!(tx.signature_valid(), "the original still verifies");
+    }
+
+    #[test]
+    fn bad_signature_rejected_and_not_memoized() {
+        let mut tx = Transaction::payment(&kp(14), kp(15).pk, 5, 1);
+        tx.from = kp(16).pk; // Forged sender.
+        for _ in 0..2 {
+            assert!(!tx.signature_valid());
+            assert!(!SIG_MEMO.contains(&tx.id()));
+        }
+    }
+
+    #[test]
+    fn memo_skips_reverification_of_every_copy() {
+        let tx = Transaction::payment(&kp(17), kp(18).pk, 1, 1);
+        assert!(tx.signature_valid());
+        // A copy decoded from the wire has the same id, so it is a hit.
+        let bytes = tx.encoded();
+        let mut r = Reader::new(&bytes);
+        let copy = Transaction::decode(&mut r).unwrap();
+        assert!(SIG_MEMO.contains(&copy.id()));
+        assert!(copy.signature_valid());
+        assert!(SIG_MEMO.len() <= SIG_MEMO_CAP);
     }
 
     #[test]

@@ -299,17 +299,20 @@ impl ClusterHealth {
         }
     }
 
-    /// Scrapes twice, `interval` apart, and derives per-node round rates
-    /// from the tip movement.
+    /// Scrapes twice, running `wait` on the first pass in between, and
+    /// derives per-node round rates from the tip movement over the
+    /// measured time between the two passes. `wait` decides when the
+    /// second pass runs: a fixed sleep, or until the cluster has moved.
     pub fn collect_with_rates(
         addrs: &[String],
         timeout: Duration,
-        interval: Duration,
+        wait: impl FnOnce(&ClusterHealth),
     ) -> ClusterHealth {
+        let start = Instant::now();
         let first = ClusterHealth::collect(addrs, timeout);
-        std::thread::sleep(interval);
+        wait(&first);
+        let secs = start.elapsed().as_secs_f64().max(1e-9);
         let mut second = ClusterHealth::collect(addrs, timeout);
-        let secs = interval.as_secs_f64().max(1e-9);
         second.round_rates = Some(
             second
                 .nodes

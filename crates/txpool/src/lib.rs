@@ -4,9 +4,9 @@
 //! "Each user collects a block of pending transactions that they hear
 //! about" (§5); this crate is that collection. It admits transactions
 //! arriving out of order from gossip, buffers per-sender nonce chains,
-//! rejects duplicates and replays, pre-verifies signatures once (with a
-//! cache, so a transaction gossiped along many paths is checked once),
-//! evicts the lowest-priority traffic under byte/count caps, and hands a
+//! rejects duplicates and replays, pre-verifies signatures (through the
+//! ledger's process-wide signature memo, so a transaction gossiped along
+//! many paths is checked once), evicts the lowest-priority traffic under byte/count caps, and hands a
 //! proposer a balance- and nonce-consistent prefix via [`TxPool::take_block`].
 //! Transactions from proposals that lose BA⋆ are fed back with
 //! [`TxPool::reinsert`] so they are not lost, and [`TxPool::prune`] drops
@@ -82,9 +82,6 @@ impl std::fmt::Display for AdmitError {
 
 impl std::error::Error for AdmitError {}
 
-/// Upper bound on the signature-verification cache before it resets.
-const SIG_CACHE_MAX: usize = 1 << 16;
-
 /// Fleet-wide mempool counters, shared across nodes via a [`Registry`].
 /// The default (unregistered) metrics are inert no-ops on plain atomics.
 #[derive(Clone, Debug, Default)]
@@ -117,9 +114,6 @@ pub struct TxPool {
     by_sender: HashMap<[u8; 32], BTreeMap<u64, Transaction>>,
     /// Hashes of every queued transaction, for duplicate rejection.
     ids: HashSet<[u8; 32]>,
-    /// Hashes whose signature already verified (survives removal from the
-    /// pool, so re-gossiped copies skip the expensive check).
-    sig_ok: HashSet<[u8; 32]>,
     /// Total wire bytes queued.
     bytes: usize,
     /// Shared admit/take counters (inert unless registered).
@@ -133,7 +127,6 @@ impl TxPool {
             cfg,
             by_sender: HashMap::new(),
             ids: HashSet::new(),
-            sig_ok: HashSet::new(),
             bytes: 0,
             metrics: PoolMetrics::default(),
         }
@@ -162,21 +155,6 @@ impl TxPool {
     /// True if a transaction with this hash is queued.
     pub fn contains(&self, id: &[u8; 32]) -> bool {
         self.ids.contains(id)
-    }
-
-    /// Verifies the signature, consulting and filling the cache.
-    fn signature_ok(&mut self, id: &[u8; 32], tx: &Transaction) -> bool {
-        if self.sig_ok.contains(id) {
-            return true;
-        }
-        if !tx.signature_valid() {
-            return false;
-        }
-        if self.sig_ok.len() >= SIG_CACHE_MAX {
-            self.sig_ok.clear();
-        }
-        self.sig_ok.insert(*id);
-        true
     }
 
     /// Admits a transaction heard from gossip (or submitted locally).
@@ -216,7 +194,7 @@ impl TxPool {
         if tx.amount > accounts.balance(&tx.from) {
             return Err(AdmitError::InsufficientBalance);
         }
-        if !self.signature_ok(&id, &tx) {
+        if !tx.signature_valid() {
             return Err(AdmitError::BadSignature);
         }
         let sender = tx.from.to_bytes();
@@ -419,15 +397,22 @@ mod tests {
     }
 
     #[test]
-    fn bad_signature_rejected_and_not_cached() {
+    fn bad_signature_rejected() {
         let a = kp(1);
         let accounts = Accounts::genesis([(a.pk, 100)]);
         let mut pool = TxPool::new(PoolConfig::default());
         let mut tx = Transaction::payment(&kp(3), kp(2).pk, 5, 1);
         tx.from = a.pk; // Forged sender.
-        let id = tx.id();
-        assert_eq!(pool.admit(tx, &accounts), Err(AdmitError::BadSignature));
-        assert!(!pool.sig_ok.contains(&id));
+        assert_eq!(
+            pool.admit(tx.clone(), &accounts),
+            Err(AdmitError::BadSignature)
+        );
+        assert_eq!(
+            pool.admit(tx, &accounts),
+            Err(AdmitError::BadSignature),
+            "a rejection is never remembered as a pass"
+        );
+        assert!(pool.is_empty());
     }
 
     #[test]
@@ -651,7 +636,7 @@ mod tests {
     }
 
     #[test]
-    fn sig_cache_skips_reverification_after_removal() {
+    fn taken_transaction_reinserts() {
         let a = kp(1);
         let b = kp(2);
         let accounts = Accounts::genesis([(a.pk, 100)]);
@@ -659,12 +644,10 @@ mod tests {
         let tx = Transaction::payment(&a, b.pk, 1, 1);
         pool.admit(tx.clone(), &accounts).unwrap();
         let taken = pool.take_block(&accounts, 1 << 20);
-        assert!(
-            pool.sig_ok.contains(&tx.id()),
-            "verification outlives removal"
-        );
+        assert!(pool.is_empty());
         pool.reinsert(taken, &accounts);
         assert_eq!(pool.len(), 1);
+        assert!(pool.contains(&tx.id()));
     }
 
     #[test]
